@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the full test suite plus a smoke chaos run.
+# Tier-1 gate: golden fixtures byte-identical, the full test suite, and a
+# smoke chaos run.
 #
 # Usage: scripts/check.sh [extra pytest args]
 # Runs from any cwd; uses the repo's src/ tree directly (no install).
@@ -8,6 +9,9 @@ set -euo pipefail
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo_root"
 export PYTHONPATH="$repo_root/src${PYTHONPATH:+:$PYTHONPATH}"
+
+echo "== golden fixtures (byte-identical) =="
+python scripts/regen_golden.py --check
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"

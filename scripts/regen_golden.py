@@ -13,13 +13,22 @@ QoE drift — so an intentional algorithm change must regenerate them:
 and commit the diff.  Timelines are normalised for byte-stable output:
 the tracer runs on a counting clock and wall-time profiling fields are
 zeroed, so a regeneration with unchanged decisions is a no-op diff.
+
+``--check`` renders every fixture in memory instead and compares it byte
+for byte with ``tests/golden/``; it writes nothing, names each fixture
+that drifted (or is missing, or no longer rendered), and exits 1 if any
+did:
+
+    PYTHONPATH=src python scripts/regen_golden.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import os
 import sys
+from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -155,7 +164,7 @@ def prior_request_stream():
 def make_prior_service():
     """A decision service over the golden ladder with a tiny real table."""
     from repro.core.fastmpc import FastMPCConfig, build_decision_table
-    from repro.core.qoe import QoEWeights
+    from repro.qoe import QoEWeights
     from repro.service import DecisionService
 
     manifest = golden_manifest()
@@ -200,18 +209,50 @@ def render_prior_fixture() -> str:
     return "\n".join(lines) + "\n"
 
 
-def main() -> int:
+def render_all() -> Dict[str, str]:
+    """Every fixture body, keyed by its file name under ``tests/golden/``."""
+    bodies = {f"{name}.jsonl": render_fixture(name) for name in sorted(available())}
+    bodies[f"live-{LIVE_FIXTURE_ALGORITHM}.jsonl"] = render_live_fixture()
+    bodies["prior-session.jsonl"] = render_prior_fixture()
+    return bodies
+
+
+def drifted_fixtures(bodies: Dict[str, str]) -> List[str]:
+    """Fixture files whose bytes differ from ``bodies``: changed or
+    missing ones, plus committed fixtures nothing renders any more."""
+    drifted = []
+    for filename, body in bodies.items():
+        path = os.path.join(GOLDEN_DIR, filename)
+        try:
+            with open(path, "rb") as stream:
+                on_disk = stream.read()
+        except FileNotFoundError:
+            on_disk = None
+        if on_disk != body.encode("utf-8"):
+            drifted.append(filename)
+    committed = {name for name in os.listdir(GOLDEN_DIR) if name.endswith(".jsonl")}
+    return drifted + sorted(committed - set(bodies))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare rendered fixtures with tests/golden/ byte for byte; write nothing",
+    )
+    args = parser.parse_args(argv)
+    bodies = render_all()
+    if args.check:
+        drifted = drifted_fixtures(bodies)
+        for filename in drifted:
+            print(f"drifted: {os.path.relpath(os.path.join(GOLDEN_DIR, filename))}")
+        if drifted:
+            return 1
+        print(f"golden fixtures byte-identical ({len(bodies)} files)")
+        return 0
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name in sorted(available()):
-        path = os.path.join(GOLDEN_DIR, f"{name}.jsonl")
-        body = render_fixture(name)
-        with open(path, "w", encoding="utf-8") as stream:
-            stream.write(body)
-        print(f"wrote {os.path.relpath(path)} ({body.count(chr(10))} events)")
-    for filename, body in (
-        (f"live-{LIVE_FIXTURE_ALGORITHM}.jsonl", render_live_fixture()),
-        ("prior-session.jsonl", render_prior_fixture()),
-    ):
+    for filename, body in bodies.items():
         path = os.path.join(GOLDEN_DIR, filename)
         with open(path, "w", encoding="utf-8") as stream:
             stream.write(body)

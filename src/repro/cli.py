@@ -419,8 +419,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="FastMPC table discretization (default 100, the paper's)",
     )
     p.add_argument(
-        "--engine", choices=("auto", "vector", "scalar"), default="auto",
-        help="batch stepper engine (auto: vector when NumPy is available)",
+        "--engine", choices=("vector", "scalar"), default="vector",
+        help="batch stepper engine (scalar: the reference simulator, for parity checks)",
     )
     p.add_argument(
         "--json", metavar="PATH", help="also write the merged aggregates as JSON"
@@ -862,7 +862,7 @@ def _serve_cluster(args, manifest, table, experiment=None) -> int:
     table_path = None
     tmpdir = None
     if table is not None:
-        # Published once; every worker maps it read-only (zero copies).
+        # Published once; every worker maps it read-only.
         tmpdir = tempfile.TemporaryDirectory(prefix="repro-cluster-")
         table_path = str(Path(tmpdir.name) / "decision-table.rprotbl")
         publish_table(table, table_path)

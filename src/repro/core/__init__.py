@@ -1,12 +1,11 @@
 """The paper's core contribution: QoE model, MPC, RobustMPC, FastMPC."""
 
-from .qoe import QoEBreakdown, QoEWeights, compute_qoe
+from ..qoe import QoEBreakdown, QoEWeights, compute_qoe
 from .horizon import (
     HorizonProblem,
     HorizonSolution,
     solve_horizon,
     solve_horizon_dp,
-    solve_horizon_enumerate,
     solve_horizon_reference,
     solve_startup,
 )
@@ -21,16 +20,7 @@ from .fastmpc import (
     clear_table_cache,
     table_size_sweep,
 )
-# The MDP extension is the one core module that genuinely needs NumPy
-# (dense transition matrices, value iteration).  Everything else runs on
-# the pure-Python fallbacks (see .npcompat), so a NumPy-less environment
-# still imports the package and serves decisions; the MDP symbols
-# degrade to None there.
-try:
-    from .mdp import MDPController, ThroughputMarkovModel
-except ImportError:  # pragma: no cover - exercised by the no-numpy test
-    MDPController = None  # type: ignore[assignment, misc]
-    ThroughputMarkovModel = None  # type: ignore[assignment, misc]
+from .mdp import MDPController, ThroughputMarkovModel
 from .planner import OfflineBeamPlanner, PlanResult
 from .offline import (
     CumulativeBits,

@@ -28,7 +28,7 @@ from ..prediction.base import ThroughputPredictor
 from ..prediction.errors import PredictionErrorTracker
 from ..prediction.harmonic import HarmonicMeanPredictor
 from .kernel import build_table_decisions
-from .qoe import QoEWeights
+from ..qoe import QoEWeights
 from .table import Binning, DecisionTable, TableSizeReport
 
 __all__ = [
@@ -55,7 +55,6 @@ class FastMPCConfig:
     throughput_low_kbps: Optional[float] = None  # default: 0.2 * min ladder rate
     throughput_high_kbps: Optional[float] = None  # default: 2.0 * max ladder rate
     throughput_spacing: str = "log"
-    keep_full_table: bool = False
 
     def __post_init__(self) -> None:
         if self.buffer_bins < 1 or self.throughput_bins < 1:
@@ -108,7 +107,6 @@ def _cache_key(
             config.throughput_low_kbps,
             config.throughput_high_kbps,
             config.throughput_spacing,
-            config.keep_full_table,
         ),
     )
 
@@ -180,18 +178,8 @@ def build_decision_table(
         buffer_capacity_s=buffer_capacity_s,
     )
 
-    if hasattr(decisions, "reshape"):
-        decisions_flat = decisions.reshape(-1)
-    else:  # pure-Python fallback: nested (buffer, prev, throughput) lists
-        decisions_flat = [
-            level for plane in decisions for row in plane for level in row
-        ]
     table = DecisionTable(
-        buffer_binning,
-        len(ladder),
-        throughput_binning,
-        decisions_flat,
-        keep_full=config.keep_full_table,
+        buffer_binning, len(ladder), throughput_binning, decisions.reshape(-1)
     )
     if use_cache:
         _TABLE_CACHE[key] = table

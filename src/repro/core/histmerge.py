@@ -30,7 +30,7 @@ import bisect
 import math
 from typing import List, Optional, Sequence, Type
 
-from .npcompat import HAVE_NUMPY, np
+import numpy as np
 
 __all__ = [
     "FixedBucketHistogram",
@@ -97,27 +97,19 @@ class FixedBucketHistogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Bulk :meth:`observe` with order-independent accumulation.
 
-        Bucket counts come from a vectorized ``searchsorted`` when NumPy
-        is available (identical to per-value ``bisect_left``); the sum
-        uses :func:`math.fsum`, so the result does not depend on the
-        order of ``values`` or on the NumPy fast path being taken.
+        Bucket counts come from a vectorized ``searchsorted`` (identical
+        to per-value ``bisect_left``); the sum uses :func:`math.fsum`, so
+        the result does not depend on the order of ``values``.
         """
-        if HAVE_NUMPY and not isinstance(values, (list, tuple)):
-            values = np.asarray(values, dtype=np.float64).tolist()
-        else:
-            values = [float(v) for v in values]
-        if not values:
+        arr = np.asarray(values, dtype=np.float64)
+        if not arr.size:
             return
+        values = arr.tolist()
         if self.non_negative and min(values) < 0:
             raise ValueError(f"{self.value_name} must be >= 0")
-        if HAVE_NUMPY:
-            arr = np.asarray(values, dtype=np.float64)
-            idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
-            for i, c in zip(*[u.tolist() for u in np.unique(idx, return_counts=True)]):
-                self._counts[i] += c
-        else:
-            for v in values:
-                self._counts[bisect.bisect_left(self._bounds, v)] += 1
+        idx = np.searchsorted(np.asarray(self._bounds), arr, side="left")
+        for i, c in zip(*[u.tolist() for u in np.unique(idx, return_counts=True)]):
+            self._counts[i] += c
         self._count += len(values)
         self._sum = math.fsum([self._sum] + values)
         peak = max(values)

@@ -21,22 +21,17 @@ optimisations from Section 5.2 live here:
   per-value bisect with one vectorized ``searchsorted`` over the run
   ends — identical answers, amortised cost.
 
-A third, deployment-facing representation backs the sharded decision
-service: :meth:`DecisionTable.from_buffer` wraps a *serialized* table —
-typically an ``mmap`` of a published table file — without decoding it.
-The run records are binary-searched in place (:class:`MappedRunLengthTable`),
-so many worker processes can serve one read-only table file with zero
-per-process copies; the serialized form is position-independent, which
-is what makes that sharing safe.
-
-NumPy is optional here (see :mod:`repro.core.npcompat`): every scalar
-path — quantisation, single lookups, (de)serialization — is pure
-Python, so a serving process without NumPy still answers identically;
-only the batch methods degrade to per-value loops.  One caveat: NumPy's
-``geomspace`` and ``math.pow`` can disagree by 1 ULP on log-spaced bin
-edges, so a value landing *within 1 ULP of a log bin edge* may quantize
-differently across the two environments (linear edges are bit-identical
-by construction).
+The RLE is stored as its serialized run records, never as the expanded
+decision vector, so one representation serves every deployment:
+:meth:`DecisionTable.from_buffer` wraps a serialized table — typically an
+``mmap`` of a published table file — and :meth:`DecisionTable.from_bytes`
+does the same over an owned copy.  Many worker processes can therefore
+serve one read-only table file; the serialized form is
+position-independent, which is what makes that sharing safe.  Loading
+checks the header-declared shape against the runs before either
+:class:`Binning` is built, and bin counts are capped at
+:data:`MAX_BINS_PER_AXIS`, so a forged table costs at most O(blob)
+memory to reject.
 """
 
 from __future__ import annotations
@@ -46,42 +41,25 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
+
+import numpy as np
 
 from ..obs.events import TableLookup
-from .npcompat import HAVE_NUMPY, np
 
 __all__ = [
     "Binning",
     "RunLengthEncodedTable",
-    "MappedRunLengthTable",
     "DecisionTable",
     "TableSizeReport",
+    "MAX_BINS_PER_AXIS",
 ]
 
-
-def _compute_edges(low: float, high: float, count: int, spacing: str) -> List[float]:
-    """Bin edges as a plain list.
-
-    With NumPy this is ``linspace``/``geomspace`` (the historical edge
-    values — published tables and disk caches key on them).  Without, a
-    pure-Python replica: bit-identical for linear spacing; within 1 ULP
-    for log spacing (``pow`` rounding differs between libm entry points).
-    """
-    if HAVE_NUMPY:
-        if spacing == "linear":
-            return np.linspace(low, high, count + 1).tolist()
-        return np.geomspace(low, high, count + 1).tolist()
-    if spacing == "linear":
-        step = (high - low) / count
-        edges = [i * step + low for i in range(count + 1)]
-        edges[-1] = high
-        return edges
-    log_low, log_high = math.log10(low), math.log10(high)
-    step = (log_high - log_low) / count
-    edges = [10.0 ** (i * step + log_low) for i in range(count + 1)]
-    edges[0], edges[-1] = low, high
-    return edges
+#: Largest bin count per axis a :class:`Binning` accepts — far above the
+#: paper's finest configuration (Table 1: 500 levels), and low enough that
+#: a forged count in a serialized table cannot demand unbounded edge
+#: arrays.
+MAX_BINS_PER_AXIS = 1 << 16
 
 
 class Binning:
@@ -113,8 +91,10 @@ class Binning:
     )
 
     def __init__(self, low: float, high: float, count: int, spacing: str = "linear") -> None:
-        if count < 1:
-            raise ValueError("need at least one bin")
+        if not 1 <= count <= MAX_BINS_PER_AXIS:
+            raise ValueError(f"bin count must be in 1..{MAX_BINS_PER_AXIS}")
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("bin range must be finite")
         if not (low < high):
             raise ValueError("need low < high")
         if spacing not in ("linear", "log"):
@@ -125,15 +105,12 @@ class Binning:
         self.high = float(high)
         self.count = count
         self.spacing = spacing
-        edges_list = _compute_edges(self.low, self.high, count, spacing)
         if spacing == "linear":
-            centers_list = [
-                (edges_list[i] + edges_list[i + 1]) / 2.0 for i in range(count)
-            ]
+            edges = np.linspace(self.low, self.high, count + 1)
+            centers = (edges[:-1] + edges[1:]) / 2.0
         else:
-            centers_list = [
-                math.sqrt(edges_list[i] * edges_list[i + 1]) for i in range(count)
-            ]  # geometric mid
+            edges = np.geomspace(self.low, self.high, count + 1)
+            centers = np.sqrt(edges[:-1] * edges[1:])  # geometric mid
         # The flat-lookup scale: one multiply maps a value to (almost) its
         # bin; the correction loops in index_of make it exact.
         if spacing == "linear":
@@ -144,21 +121,14 @@ class Binning:
             self._scale = count / (math.log(self.high) - math.log(self.low))
         # Scalar lookups compare against the plain list (no per-access
         # NumPy scalar boxing); batch lookups use the shared array views.
-        self._edges_list = edges_list
-        if HAVE_NUMPY:
-            edges = np.asarray(edges_list, dtype=np.float64)
-            centers = np.asarray(centers_list, dtype=np.float64)
-            # Shared read-only views: hot-loop callers (table builds,
-            # kernels) access these per call, so handing out defensive
-            # copies would be a per-access allocation; read-only flags
-            # keep sharing safe.
-            edges.setflags(write=False)
-            centers.setflags(write=False)
-            self._edges = edges
-            self._centers = centers
-        else:
-            self._edges = tuple(edges_list)
-            self._centers = tuple(centers_list)
+        self._edges_list = edges.tolist()
+        # Shared read-only views: hot-loop callers (table builds, kernels)
+        # access these per call, so handing out defensive copies would be
+        # a per-access allocation; read-only flags keep sharing safe.
+        edges.setflags(write=False)
+        centers.setflags(write=False)
+        self._edges = edges
+        self._centers = centers
 
     @property
     def edges(self):
@@ -222,13 +192,11 @@ class Binning:
     def index_of_batch(self, values):
         """Vectorized :meth:`index_of` over an array of values.
 
-        Returns an ``int64`` array (a list without NumPy).  Same clamp
-        and NaN semantics as the scalar path, computed from the same
-        precomputed scale and corrected against the same edges — the
-        two paths cannot disagree on any input.
+        Returns an ``int64`` array.  Same clamp and NaN semantics as the
+        scalar path, computed from the same precomputed scale and
+        corrected against the same edges — the two paths cannot disagree
+        on any input.
         """
-        if not HAVE_NUMPY:
-            return [self.index_of(float(v)) for v in values]
         v = np.asarray(values, dtype=np.float64)
         if np.isnan(v).any():
             raise ValueError("cannot bin NaN")
@@ -264,99 +232,110 @@ class Binning:
         )
 
 
+#: Serialized RLE layout: ``u32 run count`` then one ``(u32 end, u8 value)``
+#: record per run — 5 bytes, unaligned, little-endian.
+_RLE_HEADER = struct.Struct("<I")
+_RLE_RECORD = np.dtype([("end", "<u4"), ("value", "u1")])
+
+
 class RunLengthEncodedTable:
     """Lossless RLE of a flat decision vector with binary-search lookup.
 
-    Storage is two parallel arrays: the *exclusive end index* of each run
-    and the run's value.  ``lookup(i)`` binary-searches the end-index array
-    — exactly the online procedure Section 5.2 describes.
-    ``lookup_batch`` answers many indices with one ``searchsorted`` over
-    the same run ends (bitwise-identical results).
+    The table *is* its serialized form: a ``u32`` run count followed by
+    one ``(u32 exclusive end, u8 value)`` record per run.  :meth:`encode`
+    packs those records from a decision vector; the constructor wraps any
+    buffer holding them — an owned ``bytes`` copy (:meth:`from_bytes`) or
+    an ``mmap`` of a published table file — without expanding the vector,
+    so memory stays O(runs) however many entries the runs cover.  The
+    layout is position-independent: any process that can see the bytes
+    can build a table from them, which is what lets a cluster of worker
+    processes share one read-only table file.
+
+    Construction validates the run structure (strictly increasing,
+    positive ends) and reads the run ends out once: ``lookup(i)`` then
+    binary-searches them — exactly the online procedure Section 5.2
+    describes — and ``lookup_batch`` answers many indices with one
+    ``searchsorted`` over the same ends (bitwise-identical results).  The
+    memoryview held here keeps the underlying buffer (and any ``mmap``
+    behind it) alive.
     """
 
-    __slots__ = ("_run_ends", "_run_values", "_length", "_ends_arr", "_values_arr")
+    __slots__ = ("_view", "_ends", "_values", "_ends_arr", "_values_arr")
 
-    def __init__(self, run_ends: Sequence[int], run_values: Sequence[int]) -> None:
-        if len(run_ends) != len(run_values):
-            raise ValueError("run arrays must have equal length")
-        if not run_ends:
+    def __init__(self, buffer) -> None:
+        view = memoryview(buffer)
+        if view.ndim != 1 or view.itemsize != 1:
+            view = view.cast("B")
+        if len(view) < _RLE_HEADER.size:
+            raise ValueError("buffer too small for an RLE header")
+        (count,) = _RLE_HEADER.unpack_from(view, 0)
+        if count < 1:
             raise ValueError("table must not be empty")
-        prev = 0
-        for end in run_ends:
-            if end <= prev:
-                raise ValueError("run ends must be strictly increasing and positive")
-            prev = end
-        self._run_ends = list(int(e) for e in run_ends)
-        self._run_values = list(int(v) for v in run_values)
-        self._length = self._run_ends[-1]
-        self._ends_arr = None  # lazy batch-lookup arrays (immutable table)
-        self._values_arr = None
+        need = _RLE_HEADER.size + _RLE_RECORD.itemsize * count
+        if len(view) < need:
+            raise ValueError(
+                f"truncated RLE blob: {len(view)} bytes, {count} runs need {need}"
+            )
+        records = np.frombuffer(
+            view, dtype=_RLE_RECORD, count=count, offset=_RLE_HEADER.size
+        )
+        ends = records["end"].astype(np.int64)
+        if ends[0] < 1 or (ends[1:] <= ends[:-1]).any():
+            raise ValueError("run ends must be strictly increasing and positive")
+        self._view = view[:need]
+        self._ends_arr = ends
+        self._values_arr = records["value"].astype(np.int64)
+        # Scalar lookups bisect plain Python containers (no per-probe
+        # NumPy scalar boxing); batch lookups use the arrays.
+        self._ends = ends.tolist()
+        self._values = records["value"].tobytes()
 
     @classmethod
     def encode(cls, values: Sequence[int]) -> "RunLengthEncodedTable":
-        """Compress a flat vector of small non-negative ints."""
-        if len(values) == 0:
+        """Compress a flat vector of byte-sized non-negative ints."""
+        arr = np.asarray(values)
+        if arr.ndim != 1:
+            raise ValueError("values must be one-dimensional")
+        if arr.size == 0:
             raise ValueError("cannot encode an empty vector")
-        if HAVE_NUMPY:
-            arr = np.asarray(values)
-            if arr.ndim != 1:
-                raise ValueError("values must be one-dimensional")
-            change = np.flatnonzero(np.diff(arr)) + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(arr)]))
-            return cls(ends.tolist(), arr[starts].tolist())
-        run_ends: List[int] = []
-        run_values: List[int] = []
-        previous: Optional[int] = None
-        for i, raw in enumerate(values):
-            v = int(raw)
-            if previous is None or v != previous:
-                if previous is not None:
-                    run_ends.append(i)
-                run_values.append(v)
-                previous = v
-        run_ends.append(len(values))
-        return cls(run_ends, run_values)
+        if arr.size > 0xFFFFFFFF:
+            raise ValueError("vector too long for u32 run ends")
+        change = np.flatnonzero(np.diff(arr)) + 1
+        run_values = arr[np.concatenate(([0], change))]
+        if run_values.min() < 0 or run_values.max() > 0xFF:
+            raise ValueError("values must fit in an unsigned byte")
+        records = np.empty(change.size + 1, dtype=_RLE_RECORD)
+        records["end"] = np.append(change, arr.size)
+        records["value"] = run_values
+        return cls(_RLE_HEADER.pack(records.size) + records.tobytes())
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "RunLengthEncodedTable":
+        """Inverse of :meth:`to_bytes`, over an owned copy of ``blob``."""
+        return cls(bytes(blob))
 
     def decode(self):
-        """Expand back to the full vector (tests / full-table mode)."""
-        if HAVE_NUMPY:
-            out = np.empty(self._length, dtype=np.int64)
-            start = 0
-            for end, value in zip(self._run_ends, self._run_values):
-                out[start:end] = value
-                start = end
-            return out
-        flat: List[int] = []
-        start = 0
-        for end, value in zip(self._run_ends, self._run_values):
-            flat.extend([value] * (end - start))
-            start = end
-        return flat
+        """Expand back to the full vector (tests and parity checks only)."""
+        return np.repeat(self._values_arr, np.diff(self._ends_arr, prepend=0))
 
     def lookup(self, index: int) -> int:
         """Value at a flat index via binary search over run ends."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        run = bisect.bisect_right(self._run_ends, index)
-        return self._run_values[run]
+        if not 0 <= index < self._ends[-1]:
+            raise IndexError(f"index {index} out of range 0..{self._ends[-1] - 1}")
+        return self._values[bisect.bisect_right(self._ends, index)]
 
     def lookup_batch(self, indices):
         """Values at many flat indices — one vectorized ``searchsorted``.
 
         ``side='right'`` over the run ends is exactly the scalar
         ``bisect_right`` recurrence, so batch and scalar answers are
-        identical on every index.  Degrades to a scalar loop without
-        NumPy.  Raises ``IndexError`` when any index is out of range.
+        identical on every index.  Raises ``IndexError`` when any index
+        is out of range.
         """
-        if not HAVE_NUMPY:
-            return [self.lookup(int(i)) for i in indices]
         flat = np.asarray(indices, dtype=np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= self._length):
-            raise IndexError(f"batch index out of range 0..{self._length - 1}")
-        if self._ends_arr is None:
-            self._ends_arr = np.asarray(self._run_ends, dtype=np.int64)
-            self._values_arr = np.asarray(self._run_values, dtype=np.int64)
+        length = self._ends[-1]
+        if flat.size and (flat.min() < 0 or flat.max() >= length):
+            raise IndexError(f"batch index out of range 0..{length - 1}")
         runs = np.searchsorted(self._ends_arr, flat, side="right")
         return self._values_arr[runs]
 
@@ -368,10 +347,10 @@ class RunLengthEncodedTable:
         layer's table-lookup events.  The search is the same
         ``bisect_right`` recurrence, hand-rolled so probes are countable.
         """
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi, depth = 0, len(self._run_ends), 0
-        ends = self._run_ends
+        ends = self._ends
+        if not 0 <= index < ends[-1]:
+            raise IndexError(f"index {index} out of range 0..{ends[-1] - 1}")
+        lo, hi, depth = 0, len(ends), 0
         while lo < hi:
             mid = (lo + hi) // 2
             depth += 1
@@ -379,203 +358,26 @@ class RunLengthEncodedTable:
                 hi = mid
             else:
                 lo = mid + 1
-        return self._run_values[lo], depth
+        return self._values[lo], depth
 
     def __len__(self) -> int:
-        return self._length
+        return self._ends[-1]
 
     @property
     def num_runs(self) -> int:
-        return len(self._run_ends)
+        return len(self._ends)
+
+    @property
+    def max_value(self) -> int:
+        """Largest decision value across all runs."""
+        return int(self._values_arr.max())
 
     def size_bytes(self, index_bytes: int = 4, value_bytes: int = 1) -> int:
         """Serialized size: one (end, value) record per run."""
         return self.num_runs * (index_bytes + value_bytes)
 
     def to_bytes(self) -> bytes:
-        """Portable serialization: u32 run count, then (u32 end, u8 value)."""
-        parts = [struct.pack("<I", self.num_runs)]
-        for end, value in zip(self._run_ends, self._run_values):
-            parts.append(struct.pack("<IB", end, value))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "RunLengthEncodedTable":
-        (count,) = struct.unpack_from("<I", blob, 0)
-        ends, values = [], []
-        offset = 4
-        for _ in range(count):
-            end, value = struct.unpack_from("<IB", blob, offset)
-            offset += 5
-            ends.append(end)
-            values.append(value)
-        return cls(ends, values)
-
-
-#: Serialized RLE layout: ``u32 run count`` then one ``(u32 end, u8 value)``
-#: record per run — 5 bytes, unaligned, little-endian.
-_RLE_HEADER = struct.Struct("<I")
-_RLE_RECORD = struct.Struct("<IB")
-
-
-class MappedRunLengthTable:
-    """Zero-copy lookups over a *serialized* RLE blob (mmap-friendly).
-
-    Wraps the exact byte layout :meth:`RunLengthEncodedTable.to_bytes`
-    produces — a ``u32`` run count followed by ``(u32 end, u8 value)``
-    records — and binary-searches the records in place with
-    ``struct.unpack_from``, so the backing buffer (typically an ``mmap``
-    of a published table file) is never decoded or copied.  The layout is
-    position-independent: any process that can see the bytes can serve
-    lookups from them, which is what lets a cluster of worker processes
-    share one read-only table file.
-
-    Batch lookups read the run records *once* into two small arrays (runs
-    number in the thousands where entries number in the millions) and
-    then answer every batch with one ``searchsorted`` — the big mmap'd
-    decision vector itself is still never expanded.
-
-    Construction validates the run structure (strictly increasing ends)
-    in one O(runs) scan — the scan does not compromise the zero-copy
-    story.  The memoryview held here keeps the underlying buffer (and
-    any ``mmap`` behind it) alive.
-    """
-
-    __slots__ = ("_view", "_num_runs", "_length", "_max_value", "_ends_arr", "_values_arr")
-
-    def __init__(self, buffer) -> None:
-        view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
-        if len(view) < _RLE_HEADER.size:
-            raise ValueError("buffer too small for an RLE header")
-        (count,) = _RLE_HEADER.unpack_from(view, 0)
-        if count < 1:
-            raise ValueError("table must not be empty")
-        need = _RLE_HEADER.size + _RLE_RECORD.size * count
-        if len(view) < need:
-            raise ValueError(
-                f"truncated RLE blob: {len(view)} bytes, {count} runs need {need}"
-            )
-        self._view = view[:need]
-        prev = 0
-        max_value = 0
-        for run in range(count):
-            end, value = _RLE_RECORD.unpack_from(
-                view, _RLE_HEADER.size + _RLE_RECORD.size * run
-            )
-            if end <= prev:
-                raise ValueError("run ends must be strictly increasing and positive")
-            prev = end
-            if value > max_value:
-                max_value = value
-        self._num_runs = count
-        self._length = prev
-        self._max_value = max_value
-        self._ends_arr = None  # lazy batch-lookup arrays
-        self._values_arr = None
-
-    def _run_at(self, run: int) -> Tuple[int, int]:
-        return _RLE_RECORD.unpack_from(
-            self._view, _RLE_HEADER.size + _RLE_RECORD.size * run
-        )
-
-    def lookup(self, index: int) -> int:
-        """Value at a flat index via in-place binary search over run ends."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi = 0, self._num_runs
-        view = self._view
-        header, record = _RLE_HEADER.size, _RLE_RECORD.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            (end,) = _RLE_HEADER.unpack_from(view, header + record * mid)
-            if index < end:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._run_at(lo)[1]
-
-    def _ensure_arrays(self) -> None:
-        # One zero-copy structured read of the packed (u32 end, u8 value)
-        # records; `end` is widened for searchsorted, `value` copied out
-        # of the view so the arrays are standalone.
-        records = np.frombuffer(
-            self._view,
-            dtype=np.dtype([("end", "<u4"), ("value", "u1")]),
-            count=self._num_runs,
-            offset=_RLE_HEADER.size,
-        )
-        self._ends_arr = records["end"].astype(np.int64)
-        self._values_arr = records["value"].astype(np.int64)
-
-    def lookup_batch(self, indices):
-        """Batch variant of :meth:`lookup` — same answers, one
-        ``searchsorted`` over the (cached) run-end array."""
-        if not HAVE_NUMPY:
-            return [self.lookup(int(i)) for i in indices]
-        flat = np.asarray(indices, dtype=np.int64)
-        if flat.size and (flat.min() < 0 or flat.max() >= self._length):
-            raise IndexError(f"batch index out of range 0..{self._length - 1}")
-        if self._ends_arr is None:
-            self._ensure_arrays()
-        runs = np.searchsorted(self._ends_arr, flat, side="right")
-        return self._values_arr[runs]
-
-    def lookup_profiled(self, index: int) -> Tuple[int, int]:
-        """Like :meth:`lookup` but also counts binary-search probes —
-        the same ``(value, depth)`` contract as
-        :meth:`RunLengthEncodedTable.lookup_profiled`."""
-        if not 0 <= index < self._length:
-            raise IndexError(f"index {index} out of range 0..{self._length - 1}")
-        lo, hi, depth = 0, self._num_runs, 0
-        view = self._view
-        header, record = _RLE_HEADER.size, _RLE_RECORD.size
-        while lo < hi:
-            mid = (lo + hi) // 2
-            depth += 1
-            (end,) = _RLE_HEADER.unpack_from(view, header + record * mid)
-            if index < end:
-                hi = mid
-            else:
-                lo = mid + 1
-        return self._run_at(lo)[1], depth
-
-    def decode(self):
-        """Expand to the full vector (parity checks / tests only)."""
-        if HAVE_NUMPY:
-            out = np.empty(self._length, dtype=np.int64)
-            start = 0
-            for run in range(self._num_runs):
-                end, value = self._run_at(run)
-                out[start:end] = value
-                start = end
-            return out
-        flat: List[int] = []
-        start = 0
-        for run in range(self._num_runs):
-            end, value = self._run_at(run)
-            flat.extend([value] * (end - start))
-            start = end
-        return flat
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def num_runs(self) -> int:
-        return self._num_runs
-
-    @property
-    def max_value(self) -> int:
-        """Largest decision value across all runs (scanned at init)."""
-        return self._max_value
-
-    def size_bytes(self, index_bytes: int = 4, value_bytes: int = 1) -> int:
-        return self._num_runs * (index_bytes + value_bytes)
-
-    def to_bytes(self) -> bytes:
-        """The wrapped serialization — a copy of the viewed bytes."""
+        """The serialized records: u32 run count, then (u32 end, u8 value)."""
         return bytes(self._view)
 
 
@@ -610,7 +412,7 @@ class DecisionTable:
     always share a decision, which is what makes the RLE effective.
     """
 
-    __slots__ = ("buffer_bins", "num_levels", "throughput_bins", "_rle", "_full")
+    __slots__ = ("buffer_bins", "num_levels", "throughput_bins", "_rle")
 
     def __init__(
         self,
@@ -618,7 +420,6 @@ class DecisionTable:
         num_levels: int,
         throughput_bins: Binning,
         decisions_flat: Sequence[int],
-        keep_full: bool = False,
     ) -> None:
         if num_levels < 1:
             raise ValueError("need at least one ladder level")
@@ -627,21 +428,13 @@ class DecisionTable:
             raise ValueError(
                 f"{len(decisions_flat)} decisions but the index space has {expected}"
             )
+        arr = np.asarray(decisions_flat, dtype=np.int64)
+        if arr.min() < 0 or arr.max() >= num_levels:
+            raise ValueError("decisions must be valid ladder level indices")
         self.buffer_bins = buffer_bins
         self.num_levels = num_levels
         self.throughput_bins = throughput_bins
-        if HAVE_NUMPY:
-            arr = np.asarray(decisions_flat, dtype=np.int64)
-            if arr.min() < 0 or arr.max() >= num_levels:
-                raise ValueError("decisions must be valid ladder level indices")
-            self._rle = RunLengthEncodedTable.encode(arr)
-            self._full = arr.astype(np.uint8) if keep_full else None
-        else:
-            flat = [int(v) for v in decisions_flat]
-            if min(flat) < 0 or max(flat) >= num_levels:
-                raise ValueError("decisions must be valid ladder level indices")
-            self._rle = RunLengthEncodedTable.encode(flat)
-            self._full = bytearray(flat) if keep_full else None
+        self._rle = RunLengthEncodedTable.encode(arr)
 
     # ------------------------------------------------------------------
 
@@ -658,10 +451,7 @@ class DecisionTable:
         """The online step: quantize the state, then one run lookup."""
         b = self.buffer_bins.index_of(buffer_level_s)
         c = self.throughput_bins.index_of(predicted_kbps)
-        flat = self._flat_index(b, prev_level, c)
-        if self._full is not None:
-            return int(self._full[flat])
-        return self._rle.lookup(flat)
+        return self._rle.lookup(self._flat_index(b, prev_level, c))
 
     def lookup_batch(self, buffer_levels_s, prev_levels, predicted_kbps):
         """Vectorized :meth:`lookup` over equal-length state arrays.
@@ -669,23 +459,16 @@ class DecisionTable:
         ``prev_levels`` must already be valid ladder indices (the
         decision service validates per request and degrades invalid ones
         to the fallback *before* batching).  Returns an ``int64`` array
-        of level indices (a list without NumPy).  Answers are identical
-        to per-element :meth:`lookup` calls: both paths share the
-        binnings' index arithmetic and the RLE run search.
+        of level indices.  Answers are identical to per-element
+        :meth:`lookup` calls: both paths share the binnings' index
+        arithmetic and the RLE run search.
         """
-        if not HAVE_NUMPY:
-            return [
-                self.lookup(float(b), int(p), float(c))
-                for b, p, c in zip(buffer_levels_s, prev_levels, predicted_kbps)
-            ]
         b = self.buffer_bins.index_of_batch(buffer_levels_s)
         c = self.throughput_bins.index_of_batch(predicted_kbps)
         prev = np.asarray(prev_levels, dtype=np.int64)
         if prev.size and (prev.min() < 0 or prev.max() >= self.num_levels):
             raise IndexError("prev level out of range")
         flat = (b * self.num_levels + prev) * self.throughput_bins.count + c
-        if self._full is not None:
-            return np.asarray(self._full)[flat].astype(np.int64)
         return self._rle.lookup_batch(flat)
 
     def lookup_traced(
@@ -699,17 +482,13 @@ class DecisionTable:
         """:meth:`lookup` plus a :class:`repro.obs.TableLookup` event.
 
         Returns the same level as :meth:`lookup` on the same inputs; the
-        event records the quantized bins, the RLE search depth (0 when
-        the full table answered), and the lookup wall time.
+        event records the quantized bins, the RLE search depth, and the
+        lookup wall time.
         """
         t0 = time.perf_counter()
         b = self.buffer_bins.index_of(buffer_level_s)
         c = self.throughput_bins.index_of(predicted_kbps)
-        flat = self._flat_index(b, prev_level, c)
-        if self._full is not None:
-            level, depth = int(self._full[flat]), 0
-        else:
-            level, depth = self._rle.lookup_profiled(flat)
+        level, depth = self._rle.lookup_profiled(self._flat_index(b, prev_level, c))
         tracer.emit(
             TableLookup(
                 session_id=session_id,
@@ -752,25 +531,21 @@ class DecisionTable:
 
     _MAGIC = b"RPROTBL1"
     _SPACING_CODES = {"linear": 0, "log": 1}
+    _SPACINGS = {code: name for name, code in _SPACING_CODES.items()}
+    _BINNING = struct.Struct("<ddIB")
+    # Ladder size plus a reserved flag byte: written as 0 and ignored on
+    # read, so tables serialized with the flag set still load.
+    _LEVELS = struct.Struct("<IB")
+    _HEADER_SIZE = len(_MAGIC) + 2 * _BINNING.size + _LEVELS.size
 
-    @staticmethod
-    def _pack_binning(binning: Binning) -> bytes:
-        return struct.pack(
-            "<ddIB",
-            binning.low,
-            binning.high,
-            binning.count,
-            DecisionTable._SPACING_CODES[binning.spacing],
+    @classmethod
+    def _pack_binning(cls, binning: Binning) -> bytes:
+        return cls._BINNING.pack(
+            binning.low, binning.high, binning.count, cls._SPACING_CODES[binning.spacing]
         )
 
-    @staticmethod
-    def _unpack_binning(blob: bytes, offset: int) -> Tuple[Binning, int]:
-        low, high, count, code = struct.unpack_from("<ddIB", blob, offset)
-        spacing = {v: k for k, v in DecisionTable._SPACING_CODES.items()}[code]
-        return Binning(low, high, count, spacing), offset + struct.calcsize("<ddIB")
-
     def to_bytes(self) -> bytes:
-        """Lossless serialization: binnings, shape flags, then the RLE.
+        """Lossless serialization: binnings, ladder size, then the RLE.
 
         ``from_bytes(to_bytes())`` reproduces a bitwise-identical table
         (same binnings, same runs, same lookups).
@@ -780,83 +555,74 @@ class DecisionTable:
                 self._MAGIC,
                 self._pack_binning(self.buffer_bins),
                 self._pack_binning(self.throughput_bins),
-                struct.pack("<IB", self.num_levels, int(self._full is not None)),
+                self._LEVELS.pack(self.num_levels, 0),
                 self._rle.to_bytes(),
             ]
         )
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "DecisionTable":
-        """Inverse of :meth:`to_bytes`."""
-        if blob[: len(cls._MAGIC)] != cls._MAGIC:
-            raise ValueError("not a serialized DecisionTable")
-        offset = len(cls._MAGIC)
-        buffer_bins, offset = cls._unpack_binning(blob, offset)
-        throughput_bins, offset = cls._unpack_binning(blob, offset)
-        num_levels, keep_full = struct.unpack_from("<IB", blob, offset)
-        offset += struct.calcsize("<IB")
-        rle = RunLengthEncodedTable.from_bytes(blob[offset:])
-        return cls(
-            buffer_bins,
-            num_levels,
-            throughput_bins,
-            rle.decode(),
-            keep_full=bool(keep_full),
-        )
+        """Inverse of :meth:`to_bytes`: :meth:`from_buffer` over an owned
+        copy of ``blob``, so the caller may reuse its buffer."""
+        return cls.from_buffer(bytes(blob))
 
     @classmethod
     def from_buffer(cls, buffer) -> "DecisionTable":
-        """Zero-copy view over a serialized table (the :meth:`to_bytes`
-        layout), typically an ``mmap`` of a published table file.
+        """A table over a serialized buffer (the :meth:`to_bytes` layout),
+        typically an ``mmap`` of a published table file.
 
-        Unlike :meth:`from_bytes`, the decision vector is never decoded:
-        lookups binary-search the serialized run records in place through
-        a :class:`MappedRunLengthTable`, so N worker processes mapping
-        the same file share one copy of the table in page cache.  Only
-        the fixed-size header (binnings, ladder size) and the O(runs)
-        structure validation read the buffer up front.
-
-        ``lookup``/``lookup_traced`` answers are identical to the
-        in-memory table's — :meth:`same_decisions` (or the Hypothesis
-        parity suite) checks that end to end.
+        The decision vector is never expanded.  The mapped file is shared
+        (N worker processes mapping it hold one copy in page cache); each
+        process reads the O(runs) run ends and values out of it once, at
+        construction, for ``bisect`` and ``searchsorted``.  The
+        header-declared shape is checked against the runs before either
+        :class:`Binning` is built, so a malformed or forged buffer raises
+        ``ValueError`` at O(buffer) memory cost.
         """
         view = memoryview(buffer)
         if view.ndim != 1 or view.itemsize != 1:
             view = view.cast("B")
-        magic_len = len(cls._MAGIC)
-        if bytes(view[:magic_len]) != cls._MAGIC:
+        if bytes(view[: len(cls._MAGIC)]) != cls._MAGIC:
             raise ValueError("not a serialized DecisionTable")
-        offset = magic_len
-        buffer_bins, offset = cls._unpack_binning(view, offset)
-        throughput_bins, offset = cls._unpack_binning(view, offset)
-        num_levels, _keep_full = struct.unpack_from("<IB", view, offset)
-        offset += struct.calcsize("<IB")
+        if len(view) < cls._HEADER_SIZE:
+            raise ValueError("truncated DecisionTable header")
+        offset = len(cls._MAGIC)
+        buffer_spec = cls._BINNING.unpack_from(view, offset)
+        offset += cls._BINNING.size
+        throughput_spec = cls._BINNING.unpack_from(view, offset)
+        offset += cls._BINNING.size
+        num_levels, _flag = cls._LEVELS.unpack_from(view, offset)
+        offset += cls._LEVELS.size
         if num_levels < 1:
             raise ValueError("need at least one ladder level")
-        rle = MappedRunLengthTable(view[offset:])
-        expected = buffer_bins.count * num_levels * throughput_bins.count
+        rle = RunLengthEncodedTable(view[offset:])
+        expected = buffer_spec[2] * num_levels * throughput_spec[2]
         if len(rle) != expected:
-            raise ValueError(
-                f"{len(rle)} decisions but the index space has {expected}"
-            )
+            raise ValueError(f"{len(rle)} decisions but the index space has {expected}")
         if rle.max_value >= num_levels:
             raise ValueError("decisions must be valid ladder level indices")
         table = object.__new__(cls)
-        table.buffer_bins = buffer_bins
+        table.buffer_bins = cls._unpack_binning(buffer_spec)
         table.num_levels = num_levels
-        table.throughput_bins = throughput_bins
+        table.throughput_bins = cls._unpack_binning(throughput_spec)
         table._rle = rle
-        table._full = None
         return table
+
+    @classmethod
+    def _unpack_binning(cls, spec: Tuple[float, float, int, int]) -> Binning:
+        low, high, count, code = spec
+        if code not in cls._SPACINGS:
+            raise ValueError(f"unknown bin spacing code {code}")
+        return Binning(low, high, count, cls._SPACINGS[code])
 
     def same_decisions(self, other: "DecisionTable") -> bool:
         """True when ``other`` answers every lookup identically.
 
         Compares the binnings, ladder size, and the run-length encoding
         byte for byte (the RLE is canonical: one encoding per decision
-        vector), ignoring storage details like ``keep_full`` or whether
-        either side is buffer-backed.  This is the parity check the
-        cluster runs after mapping a published table file.
+        vector), ignoring whether either side is buffer-backed.  This is
+        the parity check the cluster runs after mapping a published
+        table file.
         """
         return (
             self.num_levels == other.num_levels

@@ -46,7 +46,8 @@ import bisect
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.npcompat import HAVE_NUMPY, np
+import numpy as np
+
 from ..traces.trace import Trace
 from .clock import EventQueue
 
@@ -183,7 +184,7 @@ def _water_fill(capacity_kbps, caps_kbps):
 class _UncappedPool:
     """The fully-ramped transfers, all moving at one shared rate.
 
-    Remaining sizes live in one array (NumPy when available); progress is
+    Remaining sizes live in one NumPy array; progress is
     a single elementwise subtraction, bit-identical to the per-flow
     scalar ``rem -= rate * dt`` of the reference loop.  ``_order`` keeps
     live slots sorted by remaining size: a uniform subtraction cannot
@@ -196,7 +197,7 @@ class _UncappedPool:
 
     def __init__(self) -> None:
         size = 16
-        self._rem = np.zeros(size, dtype=np.float64) if HAVE_NUMPY else [0.0] * size
+        self._rem = np.zeros(size, dtype=np.float64)
         self._transfers: List[Optional[Transfer]] = [None] * size
         self._order: List[int] = []  # live slots, ascending remaining
         self._free: List[int] = list(range(size - 1, -1, -1))
@@ -207,12 +208,9 @@ class _UncappedPool:
     def add(self, transfer: Transfer) -> None:
         if not self._free:
             old = len(self._transfers)
-            if HAVE_NUMPY:
-                grown = np.zeros(2 * old, dtype=np.float64)
-                grown[:old] = self._rem
-                self._rem = grown
-            else:
-                self._rem.extend([0.0] * old)
+            grown = np.zeros(2 * old, dtype=np.float64)
+            grown[:old] = self._rem
+            self._rem = grown
             self._transfers.extend([None] * old)
             self._free.extend(range(2 * old - 1, old - 1, -1))
         slot = self._free.pop()
@@ -231,12 +229,7 @@ class _UncappedPool:
         self._order.insert(lo, slot)
 
     def apply_delta(self, delta: float) -> None:
-        if HAVE_NUMPY:
-            self._rem -= delta  # dead slots drift harmlessly
-        else:
-            rem = self._rem
-            for slot in self._order:
-                rem[slot] -= delta
+        self._rem -= delta  # dead slots drift harmlessly
 
     def min_remaining(self) -> float:
         return float(self._rem[self._order[0]])

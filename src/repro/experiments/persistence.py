@@ -340,8 +340,9 @@ def load_cached_table(
 #
 # The cluster's scale-out story (docs/scaling.md): the supervisor writes
 # the decision table to disk exactly once, and every worker maps the file
-# read-only with DecisionTable.from_buffer — zero copies, one page-cache
-# residency shared by all workers.  Unlike the content-addressed cache
+# read-only with DecisionTable.from_buffer — one page-cache residency
+# shared by all workers, each of which reads out only the O(runs) run
+# ends once; the decision vector is never expanded.  Unlike the content-addressed cache
 # above, publication is *not* best-effort: a worker that cannot see the
 # table must fail loudly, not silently degrade every decision.
 
@@ -365,11 +366,13 @@ def publish_table(table: DecisionTable, path: PathLike) -> Path:
 def map_published_table(
     path: PathLike, expect: Optional[DecisionTable] = None
 ) -> DecisionTable:
-    """Map a published table file read-only, zero-copy.
+    """Map a published table file read-only.
 
-    Returns a :class:`~repro.core.table.DecisionTable` whose lookups
-    binary-search the mapped bytes in place; the mapping stays alive for
-    the table's lifetime (the buffer view pins it).  With ``expect``,
+    Returns a :class:`~repro.core.table.DecisionTable` over the shared
+    mapping: construction reads the O(runs) run ends out of it once for
+    binary search, and the decision vector is never expanded.  The
+    mapping stays alive for the table's lifetime (the buffer view pins
+    it).  With ``expect``,
     the mapped table is parity-checked against the in-memory table it
     was published from and a mismatch (torn/corrupt/wrong file) raises
     instead of serving wrong decisions.

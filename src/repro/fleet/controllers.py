@@ -21,21 +21,19 @@ How exactness is preserved, per mechanism:
 * Max-of-window reductions (the RobustMPC error bound) are
   order-independent, so ``np.max`` is safe.
 * FastMPC decisions go through ``DecisionTable.lookup_batch``, which is
-  pinned scalar-equal to ``lookup`` by the PR-6 fast-path test suite,
+  pinned scalar-equal to ``lookup`` by the table fast-path test suite,
   against the *same* table ``FastMPCController.prepare`` would build.
 * BOLA's and DAS-IP's exact first-wins argmax and the ladder's
   ``highest_at_most`` scan are replicated as comparison-only
   loops/searches (no arithmetic, hence no rounding to diverge).
-
-The module is NumPy-only by design: without NumPy the fleet stepper runs
-sessions through the reference simulator itself (see
-:mod:`repro.fleet.stepper`), which is bit-identical by construction.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
+
+import numpy as np
 
 from ..abr.base import SessionConfig
 from ..abr.bola import BolaAlgorithm
@@ -44,7 +42,6 @@ from ..abr.dasip import DasIpAlgorithm
 from ..abr.fixed import ConstantLevelAlgorithm
 from ..abr.rate_based import RateBasedAlgorithm
 from ..core.fastmpc import FastMPCConfig, FastMPCController, build_decision_table
-from ..core.npcompat import HAVE_NUMPY, np
 from ..prediction.base import OBSERVATION_FLOOR_KBPS
 from ..prediction.streaming import GapCorrectedHarmonicPredictor
 from ..video.manifest import VideoManifest
@@ -602,8 +599,6 @@ def make_batch_controller(
     table_config: Optional[FastMPCConfig] = None,
 ) -> _BatchController:
     """Instantiate the vectorized twin of a registry algorithm."""
-    if not HAVE_NUMPY:  # pragma: no cover - guarded by the stepper
-        raise RuntimeError("batch controllers need NumPy; use the scalar engine")
     if name == "lowest":
         return _BatchConstant(0)
     if name == "highest":

@@ -84,7 +84,7 @@ class ScenarioSpace:
     trace_duration_s: float = 320.0
     trace_seed: int = 0
     #: Optional FastMPC table discretization override (smaller tables for
-    #: smoke tests and the pure-Python fallback).
+    #: smoke tests and the scalar parity oracle).
     table_config: Optional[FastMPCConfig] = None
 
     def __post_init__(self) -> None:

@@ -9,9 +9,10 @@ way CDN-scale table-serving deployments do:
 * **One table file, N readers.**  The supervisor publishes the decision
   table to disk once (:func:`repro.experiments.persistence.publish_table`)
   and every worker maps it read-only through
-  :meth:`~repro.core.table.DecisionTable.from_buffer` — zero copies, one
-  page-cache residency, no coordination.  Each worker parity-checks its
-  mapping before serving.
+  :meth:`~repro.core.table.DecisionTable.from_buffer` — one page-cache
+  residency, no coordination; each worker reads out only the O(runs)
+  run ends once, never the expanded decision vector.  Each worker
+  parity-checks its mapping before serving.
 
 * **Kernel-level sharding.**  Workers bind the same host:port with
   ``SO_REUSEPORT`` and the kernel spreads incoming connections across

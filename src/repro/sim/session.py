@@ -37,7 +37,7 @@ from ..abr.base import (
     PlayerObservation,
     SessionConfig,
 )
-from ..core.qoe import QoEBreakdown, compute_qoe
+from ..qoe import QoEBreakdown, compute_qoe
 from ..obs.events import (
     ChunkDecision,
     ChunkDownload,

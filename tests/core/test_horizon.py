@@ -10,7 +10,6 @@ from repro.core.horizon import (
     HorizonProblem,
     solve_horizon,
     solve_horizon_dp,
-    solve_horizon_enumerate,
     solve_horizon_reference,
     solve_startup,
 )
@@ -141,7 +140,7 @@ problem_strategy = st.builds(
 
 @given(problem=problem_strategy)
 def test_all_three_solvers_agree_on_optimum(problem):
-    a = solve_horizon_enumerate(problem)
+    a = solve_horizon(problem)
     b = solve_horizon_dp(problem)
     c = solve_horizon_reference(problem)
     assert a.qoe == pytest.approx(b.qoe, rel=1e-9, abs=1e-6)

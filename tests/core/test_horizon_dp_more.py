@@ -10,7 +10,6 @@ from repro.core.horizon import (
     HorizonProblem,
     solve_horizon,
     solve_horizon_dp,
-    solve_horizon_enumerate,
 )
 from repro.qoe import QoEWeights
 
@@ -50,7 +49,7 @@ class TestVBRHorizon:
     @settings(max_examples=40)
     def test_solvers_agree_under_vbr(self, factors, predictions):
         problem = vbr_problem(factors, predictions[: len(factors)])
-        a = solve_horizon_enumerate(problem)
+        a = solve_horizon(problem)
         b = solve_horizon_dp(problem)
         assert a.qoe == pytest.approx(b.qoe, rel=1e-9, abs=1e-6)
 
@@ -105,7 +104,7 @@ class TestLargeInstances:
             problem.weights,
         )
         assert solve_horizon_dp(truncated).qoe == pytest.approx(
-            solve_horizon_enumerate(truncated).qoe
+            solve_horizon(truncated).qoe
         )
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.table import (
+    MAX_BINS_PER_AXIS,
     Binning,
     DecisionTable,
     RunLengthEncodedTable,
@@ -149,10 +152,26 @@ class TestRLE:
             RunLengthEncodedTable.encode([])
 
     def test_invalid_runs_rejected(self):
+        def records(count, *runs):
+            return struct.pack("<I", count) + b"".join(
+                struct.pack("<IB", end, value) for end, value in runs
+            )
+
+        for blob in (
+            records(2, (3, 0), (2, 1)),  # ends not increasing
+            records(1, (0, 0)),  # zero-length first run
+            records(2, (1, 0)),  # truncated: two runs declared, one present
+            records(0),  # empty table
+            b"\x01\x00",  # no room for the header
+        ):
+            with pytest.raises(ValueError):
+                RunLengthEncodedTable.from_bytes(blob)
+
+    def test_values_must_fit_a_byte(self):
         with pytest.raises(ValueError):
-            RunLengthEncodedTable([3, 2], [0, 1])
+            RunLengthEncodedTable.encode([0, 256])
         with pytest.raises(ValueError):
-            RunLengthEncodedTable([1], [0, 1])
+            RunLengthEncodedTable.encode([-1, 0])
 
     @given(values=st.lists(st.integers(0, 7), min_size=1, max_size=300))
     def test_roundtrip_property(self, values):
@@ -183,13 +202,12 @@ class TestRLE:
 
 
 class TestDecisionTable:
-    def make_table(self, keep_full=False):
+    def make_table(self):
         buffer_bins = Binning(0.0, 30.0, 4)
         throughput_bins = Binning(100.0, 4000.0, 6, spacing="log")
         n = 4 * 3 * 6
         decisions = [(i // 6) % 3 for i in range(n)]  # varies by prev level
-        return DecisionTable(buffer_bins, 3, throughput_bins, decisions,
-                             keep_full=keep_full), decisions
+        return DecisionTable(buffer_bins, 3, throughput_bins, decisions), decisions
 
     def test_lookup_layout(self):
         table, decisions = self.make_table()
@@ -199,13 +217,17 @@ class TestDecisionTable:
         assert table.lookup(29.0, 2, 3900.0) == 2
 
     def test_full_and_rle_lookup_agree(self):
-        table_rle, _ = self.make_table(keep_full=False)
-        table_full, _ = self.make_table(keep_full=True)
+        # The run-length lookup answers exactly what indexing the full,
+        # uncompressed decision vector in C order would.
+        table, decisions = self.make_table()
         for buffer_s in (0.0, 7.5, 29.9, 100.0):
             for prev in range(3):
                 for kbps in (50.0, 800.0, 3900.0, 9000.0):
-                    assert table_rle.lookup(buffer_s, prev, kbps) == \
-                        table_full.lookup(buffer_s, prev, kbps)
+                    b = table.buffer_bins.index_of(buffer_s)
+                    c = table.throughput_bins.index_of(kbps)
+                    full = decisions[(b * 3 + prev) * 6 + c]
+                    assert table.lookup(buffer_s, prev, kbps) == full
+        assert list(table.rle.decode()) == decisions
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +252,50 @@ class TestDecisionTable:
         assert report.full_bytes == 72
         assert report.rle_bytes == table.rle.size_bytes()
         assert "levels" in report.describe()
+
+
+class TestForgedTables:
+    """Serialized tables from an untrusted peer (``POST /v1/table``) must
+    be rejected with ``ValueError`` at O(blob) memory cost."""
+
+    @pytest.mark.parametrize(
+        "name", ["huge-run", "huge-bin-count", "huge-bin-count-consistent"]
+    )
+    @pytest.mark.parametrize("load", ["from_bytes", "from_buffer"])
+    def test_rejected_within_bounded_memory(
+        self, forged_table_blobs, address_space_headroom, name, load
+    ):
+        blob = forged_table_blobs[name]
+        with address_space_headroom(256 << 20):
+            with pytest.raises(ValueError):
+                getattr(DecisionTable, load)(blob)
+
+    @pytest.mark.parametrize("load", ["from_bytes", "from_buffer"])
+    def test_malformed_headers_raise_value_error(self, load):
+        blob = TestDecisionTable().make_table()[0].to_bytes()
+        spacing_at = 8 + 20  # magic, then <ddI of the buffer binning
+        for bad in (
+            blob[:40],  # truncated inside the header
+            blob[:spacing_at] + b"\x07" + blob[spacing_at + 1 :],  # spacing code
+            blob[:8] + struct.pack("<d", float("nan")) + blob[16:],  # NaN low edge
+        ):
+            with pytest.raises(ValueError):
+                getattr(DecisionTable, load)(bad)
+
+    def test_parent_flag_byte_is_ignored(self):
+        table, _ = TestDecisionTable().make_table()
+        blob = bytearray(table.to_bytes())
+        blob[8 + 2 * 21 + 4] = 1  # the legacy full-table flag
+        for loaded in (DecisionTable.from_bytes(blob), DecisionTable.from_buffer(blob)):
+            assert loaded.same_decisions(table)
+            assert loaded.to_bytes() == table.to_bytes()
+
+    def test_bin_count_cap(self):
+        assert Binning(0.0, 1.0, MAX_BINS_PER_AXIS).count == MAX_BINS_PER_AXIS
+        with pytest.raises(ValueError):
+            Binning(0.0, 1.0, MAX_BINS_PER_AXIS + 1)
+        with pytest.raises(ValueError):
+            Binning(0.0, float("inf"), 4)
 
 
 class TestTableSizeReport:

@@ -7,24 +7,24 @@ return exactly what ``bisect_right(edges, v) - 1`` (clamped) returns —
 including values sitting exactly on bin edges, one ULP to either side
 of them, and out-of-range values.  Scalar and batch paths share the
 same precomputed ``(offset, scale)`` and edges, so they cannot drift;
-the batch lookups over the RLE/full layouts must match per-element
-scalar lookups.
+the batch lookups must match per-element scalar lookups.  The single
+RLE class must answer identically whether it was encoded in memory,
+reloaded from owned bytes, or wrapped over a serialized buffer, and its
+serialization must be exactly the documented ``(u32 end, u8 value)``
+record layout.
 """
 
 from __future__ import annotations
 
 import math
+import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.table import Binning, DecisionTable, RunLengthEncodedTable
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 def _binnings():
@@ -82,7 +82,6 @@ class TestIndexOfMatchesBisectOracle:
             assert binning.index_of(edge) == i
 
 
-@pytest.mark.skipif(_np is None, reason="numpy not available")
 class TestBatchMatchesScalar:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -117,13 +116,8 @@ class TestBatchMatchesScalar:
             rle.lookup_batch([-1])
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        keep_full=st.booleans(),
-    )
-    def test_decision_table_lookup_batch(self, seed, keep_full):
-        import random
-
+    @given(seed=st.integers(0, 2**31))
+    def test_decision_table_lookup_batch(self, seed):
         rng = random.Random(seed)
         buffers = Binning(0.0, 30.0, rng.randint(2, 20))
         throughputs = Binning(10.0, 8000.0, rng.randint(2, 20), spacing="log")
@@ -132,16 +126,62 @@ class TestBatchMatchesScalar:
             rng.randint(0, levels - 1)
             for _ in range(buffers.count * levels * throughputs.count)
         ]
-        table = DecisionTable(buffers, levels, throughputs, flat, keep_full=keep_full)
+        built = DecisionTable(buffers, levels, throughputs, flat)
+        blob = built.to_bytes()
         states = [
             (rng.uniform(-2, 35), rng.randrange(levels), rng.uniform(1, 10_000))
             for _ in range(50)
         ]
-        batch = table.lookup_batch(
-            [s[0] for s in states], [s[1] for s in states], [s[2] for s in states]
+        scalar = [built.lookup(*s) for s in states]
+        for table in (built, DecisionTable.from_bytes(blob), DecisionTable.from_buffer(blob)):
+            batch = table.lookup_batch(
+                [s[0] for s in states], [s[1] for s in states], [s[2] for s in states]
+            )
+            assert [int(v) for v in batch] == scalar
+            assert [table.lookup(*s) for s in states] == scalar
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_rle_representations_agree(self, data):
+        levels = data.draw(st.sampled_from([1, 2, 5, 17, 256]))
+        buffers = Binning(0.0, 30.0, data.draw(st.integers(1, 3)))
+        throughputs = Binning(10.0, 8000.0, data.draw(st.integers(1, 6)), spacing="log")
+        n = buffers.count * levels * throughputs.count
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n), max_size=40))) | {n})
+        run_levels = data.draw(
+            st.lists(st.integers(0, levels - 1), min_size=len(cuts), max_size=len(cuts))
         )
-        scalar = [table.lookup(*s) for s in states]
-        assert [int(v) for v in batch] == scalar
+        values, start = [], 0
+        for end, level in zip(cuts, run_levels):
+            values += [level] * (end - start)
+            start = end
+        # The serialized form is exactly the documented record layout:
+        # u32 run count, then one (u32 exclusive end, u8 value) per run.
+        ends, run_values = [], []
+        for i, v in enumerate(values):
+            if run_values and v == run_values[-1]:
+                ends[-1] = i + 1
+            else:
+                ends.append(i + 1)
+                run_values.append(v)
+        packed = struct.pack("<I", len(ends)) + b"".join(
+            struct.pack("<IB", end, v) for end, v in zip(ends, run_values)
+        )
+        encoded = RunLengthEncodedTable.encode(values)
+        assert encoded.to_bytes() == packed
+        # Encoded in memory, reloaded from owned bytes, and wrapped inside
+        # a serialized DecisionTable buffer: one class, identical answers.
+        blob = DecisionTable(buffers, levels, throughputs, values).to_bytes()
+        mapped = DecisionTable.from_buffer(bytearray(blob)).rle
+        indices = list(range(n))
+        profiled = [encoded.lookup_profiled(i) for i in indices]
+        assert [value for value, _ in profiled] == values
+        for rle in (encoded, RunLengthEncodedTable.from_bytes(packed), mapped):
+            assert rle.to_bytes() == packed
+            assert (len(rle), rle.num_runs) == (n, len(ends))
+            assert [rle.lookup(i) for i in indices] == values
+            assert [int(v) for v in rle.lookup_batch(indices)] == values
+            assert [rle.lookup_profiled(i) for i in indices] == profiled
 
     def test_decision_table_batch_rejects_bad_prev(self):
         buffers = Binning(0.0, 30.0, 4)

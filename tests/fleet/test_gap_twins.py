@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.npcompat import HAVE_NUMPY, np
+from repro.fleet.controllers import _BatchGapEWMA, _BatchGapHarmonic
 from repro.prediction.streaming import (
     GapCorrectedEWMAPredictor,
     GapCorrectedHarmonicPredictor,
-)
-
-if HAVE_NUMPY:
-    from repro.fleet.controllers import _BatchGapEWMA, _BatchGapHarmonic
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="batch predictor twins require NumPy"
 )
 
 

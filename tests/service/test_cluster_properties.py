@@ -2,7 +2,7 @@
 
 1.  A buffer-mapped table is indistinguishable from the in-memory one:
     ``DecisionTable.from_buffer(table.to_bytes())`` answers every lookup
-    identically — the zero-copy serving path the workers rely on.
+    identically — the shared-file serving path the workers rely on.
 
 2.  Histogram and snapshot merging is exact on the integer state:
     bucket counts, totals, and maxima merge associatively and

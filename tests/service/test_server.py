@@ -21,6 +21,7 @@ from repro.service.server import REASON_MALFORMED, REASON_NO_TABLE
 # Every test here binds a real socket and runs a live event loop.
 pytestmark = pytest.mark.slow
 
+from ..conftest import FORGED_TABLE_BLOBS, _address_space_headroom
 from .conftest import LADDER, make_test_table
 
 
@@ -170,6 +171,27 @@ class TestTableSwap:
                 assert response.source == SOURCE_TABLE
 
         run(with_server(service, inner))
+
+
+    def test_forged_table_bodies_get_400_and_count(self, test_table):
+        """Bodies declaring ~4e9 entries or bins are refused cleanly: a
+        400 and a counted error, with no allocation to match the claim."""
+        service = DecisionService(LADDER, table=test_table)
+
+        async def inner(server):
+            async with ServiceClient("127.0.0.1", server.bound_port) as client:
+                before = (await client.metrics())["decisions"]["error"]
+                for blob in FORGED_TABLE_BLOBS.values():
+                    status, body = await client.request("POST", "/v1/table", blob)
+                    assert status == 400
+                    assert b"bad table" in body
+                after = (await client.metrics())["decisions"]["error"]
+                assert after - before == len(FORGED_TABLE_BLOBS)
+                response = await client.decide(make_request())
+                assert response.source == SOURCE_TABLE
+
+        with _address_space_headroom(256 << 20):
+            run(with_server(service, inner))
 
 
 class TestConnectionHandling:

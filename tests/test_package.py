@@ -1,4 +1,4 @@
-"""Package-level surface: top-level API, shims, versioning."""
+"""Package-level surface: top-level API, versioning."""
 
 from __future__ import annotations
 
@@ -30,17 +30,6 @@ class TestTopLevelAPI:
     def test_quick_session_rejects_unknown(self):
         with pytest.raises(ValueError):
             repro.quick_session(algorithm="does-not-exist")
-
-
-class TestQoEShim:
-    def test_core_qoe_is_top_level_qoe(self):
-        """The documented repro.core.qoe path re-exports repro.qoe."""
-        from repro import qoe as top
-        from repro.core import qoe as shim
-
-        assert shim.QoEWeights is top.QoEWeights
-        assert shim.compute_qoe is top.compute_qoe
-        assert shim.QoEBreakdown is top.QoEBreakdown
 
 
 class TestSubpackageAllLists:
